@@ -404,35 +404,46 @@ module Posting_iter = struct
 end
 
 module Element_iter = struct
-  type iter = { tbl : Bptree.t; sid : int; prefix : string }
+  (* One cursor per iterator, repositioned by every seek: ERA's seek
+     keys only move forward, so most land in the leaf already loaded. *)
+  type iter = {
+    tbl : Bptree.t;
+    sid : int;
+    prefix : string;
+    mutable cursor : Bptree.Cursor.cursor option;
+  }
 
   let create t sid =
     {
       tbl = Env.table t.env Tables.Elements.name;
       sid;
       prefix = Tables.Elements.sid_prefix sid;
+      cursor = None;
     }
 
-  let decode_if_in_extent it = function
-    | Some (k, v)
-      when String.length k >= String.length it.prefix
-           && String.sub k 0 (String.length it.prefix) = it.prefix ->
+  let element_at it key =
+    let c =
+      match it.cursor with
+      | Some c ->
+          Bptree.Cursor.reseek c key;
+          c
+      | None ->
+          let c = Bptree.Cursor.seek it.tbl key in
+          it.cursor <- Some c;
+          c
+    in
+    match Bptree.Cursor.next c with
+    | Some (k, v) when String.starts_with ~prefix:it.prefix k ->
         Tables.Elements.decode k v
     | Some _ | None -> Types.dummy_element
 
-  let first_element it =
-    let c = Bptree.Cursor.seek it.tbl it.prefix in
-    decode_if_in_extent it (Bptree.Cursor.next c)
+  let first_element it = element_at it it.prefix
 
   let next_element_after it (p : Types.pos) =
     if Types.is_m_pos p then Types.dummy_element
-    else begin
-      let key =
-        Tables.Elements.key ~sid:it.sid ~docid:p.docid ~endpos:(p.offset + 1)
-      in
-      let c = Bptree.Cursor.seek it.tbl key in
-      decode_if_in_extent it (Bptree.Cursor.next c)
-    end
+    else
+      element_at it
+        (Tables.Elements.key ~sid:it.sid ~docid:p.docid ~endpos:(p.offset + 1))
 end
 
 (* Incremental ingest as one redo-logged manifest operation

@@ -150,7 +150,9 @@ module Element_iter : sig
   val next_element_after : iter -> Types.pos -> Types.element
   (** First extent element whose (docid, endpos) exceeds the position;
       {!Types.dummy_element} when none remains. Implemented as a B+tree
-      seek, as in the paper. *)
+      seek, as in the paper, on the iterator's one cursor
+      ({!Trex_storage.Bptree.Cursor.reseek}): a seek that lands in the
+      leaf the previous one loaded reads no node. *)
 end
 
 val extent_elements : t -> int -> Types.element list

@@ -1,8 +1,9 @@
 module Codec = Trex_util.Codec
 module Metrics = Trex_obs.Metrics
 
-(* Process-wide total across every tree; per-tree stats are not kept. *)
+(* Process-wide totals across every tree; per-tree stats are not kept. *)
 let m_node_splits = Metrics.counter "bptree.node_splits"
+let m_node_reads = Metrics.counter "bptree.node_reads"
 
 (* In-memory image of a node; nodes are (de)serialized to pager pages on
    every access. Cursors keep the deserialized leaf, so scans parse each
@@ -57,6 +58,7 @@ let corrupt t ~page detail =
    a node never aliases the pager's live cache — see Pager.read_copy for
    callers that do need raw page bytes across writes. *)
 let read_node t id =
+  Metrics.incr m_node_reads;
   let page = Pager.read t.pager id in
   let r = Codec.Reader.of_string (Bytes.unsafe_to_string page) in
   match
@@ -82,6 +84,8 @@ let read_node t id =
   | node -> node
   | exception Codec.Reader.Truncated ->
       corrupt t ~page:id "truncated node encoding"
+  | exception Codec.Reader.Malformed detail ->
+      corrupt t ~page:id ("malformed node encoding: " ^ detail)
 
 let create pager =
   let root = Pager.allocate pager in
@@ -154,6 +158,33 @@ let array_remove arr i =
   Array.blit arr (i + 1) out i (n - 1 - i);
   out
 
+(* Serialized sizes of one [Codec.Buf.add_varint] / [add_string] field
+   (non-negative ints zig-zag to [2n]). *)
+let varint_bytes n =
+  let rec go z acc = if z < 0x80 then acc else go (z lsr 7) (acc + 1) in
+  go (2 * n) 1
+
+let string_bytes s = varint_bytes (String.length s) + String.length s
+
+(* p.(i) = sum of sizes.(0 .. i-1). *)
+let prefix_sums sizes =
+  let p = Array.make (Array.length sizes + 1) 0 in
+  Array.iteri (fun i sz -> p.(i + 1) <- p.(i) + sz) sizes;
+  p
+
+(* Split point in [lo, hi] whose halves' byte sizes are closest. Nodes
+   split by bytes, not by count: with entries up to a quarter page, a
+   count midpoint can leave one half of mixed-size entries larger than
+   a page, while the byte-balanced cut keeps both within
+   (node + largest entry) / 2. *)
+let closest_cut ~lo ~hi ~left ~right =
+  let gap i = abs (left i - right i) in
+  let best = ref lo in
+  for i = lo + 1 to hi do
+    if gap i < gap !best then best := i
+  done;
+  !best
+
 (* Result of inserting into a subtree: either the node fit, or it split
    and the parent must add (separator, right-page-id). *)
 type split = No_split | Split of string * int
@@ -183,9 +214,16 @@ let insert t ~key ~value =
           No_split
         end
         else begin
-          (* Split at the midpoint entry. *)
           let n = Array.length leaf.entries in
-          let mid = n / 2 in
+          let p =
+            prefix_sums
+              (Array.map (fun (k, v) -> string_bytes k + string_bytes v) leaf.entries)
+          in
+          let mid =
+            closest_cut ~lo:1 ~hi:(n - 1)
+              ~left:(fun s -> p.(s))
+              ~right:(fun s -> p.(n) - p.(s))
+          in
           let left = Array.sub leaf.entries 0 mid in
           let right = Array.sub leaf.entries mid (n - mid) in
           let right_id = Pager.allocate t.pager in
@@ -207,8 +245,16 @@ let insert t ~key ~value =
               No_split
             end
             else begin
+              (* keys.(mid) moves up: the left half keeps keys [0, mid)
+                 and children [0, mid], the right half the rest. *)
               let nk = Array.length node.keys in
-              let mid = nk / 2 in
+              let kp = prefix_sums (Array.map string_bytes node.keys) in
+              let cp = prefix_sums (Array.map varint_bytes node.children) in
+              let mid =
+                closest_cut ~lo:0 ~hi:(nk - 1)
+                  ~left:(fun m -> kp.(m) + cp.(m + 1))
+                  ~right:(fun m -> kp.(nk) - kp.(m + 1) + cp.(nk + 1) - cp.(m + 1))
+              in
               let sep_up = node.keys.(mid) in
               let left_keys = Array.sub node.keys 0 mid in
               let right_keys = Array.sub node.keys (mid + 1) (nk - mid - 1) in
@@ -288,19 +334,35 @@ module Cursor = struct
     load c (leftmost_leaf t);
     c
 
-  let seek t key =
+  (* Root-to-leaf descent. *)
+  let position c key =
     let rec descend id =
-      match read_node t id with
+      match read_node c.tree id with
       | Internal { keys; children } -> descend children.(child_index keys key)
       | Leaf _ -> id
     in
-    let leaf_id = descend t.root in
-    let c = { tree = t; entries = [||]; idx = 0; next_leaf = -1 } in
-    load c leaf_id;
+    load c (descend c.tree.root);
     c.idx <- lower_bound c.entries key;
     (* The sought key may be past this leaf's last entry. *)
-    if c.idx >= Array.length c.entries && c.next_leaf >= 0 then load c c.next_leaf;
+    if c.idx >= Array.length c.entries && c.next_leaf >= 0 then load c c.next_leaf
+
+  let seek t key =
+    let c = { tree = t; entries = [||]; idx = 0; next_leaf = -1 } in
+    position c key;
     c
+
+  (* A leaf holds a contiguous run of the key order, so when
+     first < key <= last the loaded leaf contains key's lower bound and
+     its predecessor: the binary search in place is exact, with no node
+     read. *)
+  let reseek c key =
+    let n = Array.length c.entries in
+    if
+      n > 0
+      && String.compare (fst c.entries.(0)) key < 0
+      && String.compare key (fst c.entries.(n - 1)) <= 0
+    then c.idx <- lower_bound c.entries key
+    else position c key
 
   let next c =
     if c.idx < Array.length c.entries then begin

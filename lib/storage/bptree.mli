@@ -28,10 +28,13 @@ val refresh : t -> unit
     rebuilt the tree inside a pager this handle already points at. *)
 
 val insert : t -> key:string -> value:string -> unit
-(** Insert or replace. @raise Invalid_argument if the entry is too large
-    for a node. *)
+(** Insert or replace. A node that outgrows its page splits where the
+    two halves' byte sizes are closest, so any mix of entry sizes up to
+    {!entry_budget} fits. @raise Invalid_argument if the entry is too
+    large for a node. *)
 
 val find : t -> string -> string option
+(** @raise Pager.Corruption if a node on the path does not decode. *)
 
 val remove : t -> string -> bool
 (** [true] iff the key was present. Leaves may become under-full; the
@@ -61,17 +64,27 @@ val verify : t -> verify_report
     the leaves in exactly DFS order. Read-only; decode failures are
     reported as problems rather than raised. *)
 
-(** Ordered iteration. A cursor is positioned before an entry; [next]
-    yields it and advances. Cursors are snapshots of leaf contents at
-    positioning time; interleaving writes invalidates them logically
-    (no crash, possibly stale data) — the retrieval algorithms never
-    write during reads. *)
+(** Ordered iteration. A cursor holds one decoded leaf and is
+    positioned before an entry; [next] yields it and advances, decoding
+    the next leaf of the chain when the current one runs out. Cursors
+    are snapshots of leaf contents at positioning time; interleaving
+    writes invalidates them logically (no crash, possibly stale data) —
+    the retrieval algorithms never write during reads. *)
 module Cursor : sig
   type cursor
 
   val seek_first : t -> cursor
   val seek : t -> string -> cursor
   (** Positioned at the first entry with key [>=] the argument. *)
+
+  val reseek : cursor -> string -> unit
+  (** Reposition at the first entry with key [>=] the argument, exactly
+      as a fresh {!seek} would. When the key lies strictly after the
+      loaded leaf's first key and at or before its last key, that leaf
+      already holds the answer and is binary-searched in place, without
+      reading a node; otherwise the cursor descends from the root. A
+      run of forward seeks over nearby keys (ERA's element seeks)
+      therefore decodes each leaf once. *)
 
   val next : cursor -> (string * string) option
 end

@@ -107,44 +107,35 @@ let run ?guard index ~sids ~terms =
       } )
   end
 
-let term_weight index ~scoring ~corpus term element_length tf =
-  let df = Index.term_df index term in
-  Scorer.score scoring ~corpus ~df ~tf ~element_length
-
-let corpus_of index =
+(* [weigher index ~scoring terms x element tf]: term [x]'s score for
+   [element]. Each term's df is read once, here, so scoring never goes
+   back to the Terms table per element. *)
+let weigher index ~scoring terms =
   let doc_count, avg_element_length = Index.scoring_corpus index in
-  { Scorer.doc_count; avg_element_length }
+  let corpus = { Scorer.doc_count; avg_element_length } in
+  let dfs = Array.of_list (List.map (Index.term_df index) terms) in
+  fun x (element : Types.element) tf ->
+    Scorer.score scoring ~corpus ~df:dfs.(x) ~tf ~element_length:element.length
 
 let score_results index ~scoring ~terms results =
-  let corpus = corpus_of index in
-  let terms = Array.of_list terms in
+  let weight = weigher index ~scoring terms in
+  let n = List.length terms in
   results
   |> List.map (fun { element; tf } ->
          let scores =
-           List.init (Array.length terms) (fun x ->
-               if tf.(x) = 0 then 0.0
-               else
-                 term_weight index ~scoring ~corpus terms.(x) element.Types.length
-                   tf.(x))
+           List.init n (fun x ->
+               if tf.(x) = 0 then 0.0 else weight x element tf.(x))
          in
          (element, Scorer.combine scores))
   |> Answer.of_unsorted
 
 let per_term_scores index ~scoring ~terms results =
-  let corpus = corpus_of index in
-  let terms_arr = Array.of_list terms in
+  let weight = weigher index ~scoring terms in
   List.mapi
     (fun x term ->
-      let entries =
+      ( term,
         List.filter_map
           (fun { element; tf } ->
-            if tf.(x) = 0 then None
-            else
-              Some
-                ( element,
-                  term_weight index ~scoring ~corpus terms_arr.(x)
-                    element.Types.length tf.(x) ))
-          results
-      in
-      (term, entries))
+            if tf.(x) = 0 then None else Some (element, weight x element tf.(x)))
+          results ))
     terms

@@ -41,7 +41,8 @@ val score_results :
   result list ->
   Answer.t
 (** Turn tf vectors into combined relevance scores (sum over terms) and
-    sort into a ranked answer list. *)
+    sort into a ranked answer list. Reads each term's df
+    ({!Trex_invindex.Index.term_df}) once per call. *)
 
 val per_term_scores :
   Trex_invindex.Index.t ->
@@ -50,4 +51,5 @@ val per_term_scores :
   result list ->
   (string * (Trex_invindex.Types.element * float) list) list
 (** Per-term scored entries — the raw material of RPLs/ERPLs; entries
-    with [tf = 0] for a term are omitted from that term's list. *)
+    with [tf = 0] for a term are omitted from that term's list. Reads
+    each term's df once per call. *)

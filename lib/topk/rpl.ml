@@ -92,7 +92,7 @@ let decode_chunk ~sid v =
    and used only as rank-safe pruning bounds. Block headers carry the
    docid range and last position so a cursor can skip whole blocks by
    score bound (TA's floor) or by position (Merge-style seeks) without
-   decoding them, plus — for full-term lists — a 63-bit sid-hash bitmap
+   decoding them, plus — for full-term lists — a 62-bit sid-hash bitmap
    so foreign-extent blocks are never decoded at all. *)
 
 let block_entries = 64
@@ -152,10 +152,17 @@ type block_info = {
   blk_min_docid : int;
   blk_max_docid : int;
   blk_last_endpos : int; (* endpos of the last entry (position order) *)
-  blk_sids : int; (* 63-bit sid-hash bitmap; 0 in per-(term,sid) lists *)
+  blk_sids : int; (* 62-bit sid-hash bitmap; 0 in per-(term,sid) lists *)
 }
 
-let sid_bit sid = 1 lsl (sid mod 63)
+(* The sid's bit in a block's bitmap, shared by the encoder and the
+   cursor's skip test. Bits 0..61 only: bit 62 is OCaml's sign bit,
+   which [add_uvarint] rejects. The class that [sid mod 63] sent there
+   folds onto bit 0 — a collision, which the skip test tolerates — so
+   every other sid keeps the bit older lists were written with. *)
+let sid_bit sid =
+  let b = sid mod 63 in
+  1 lsl (if b = 62 then 0 else b)
 
 let encode_block ~with_sid dict entries =
   match entries with
@@ -866,7 +873,7 @@ module Full = struct
             let info =
               decode_block_header ~with_sid:true (Codec.Block.header st.fs_seg i)
             in
-            (* The bitmap can collide (sid mod 63), so a hit may still
+            (* The bitmap can collide ([sid_bit]), so a hit may still
                hold only foreign sids — decoded entries are re-checked
                above. A miss is definitive: skip the block undecoded.
                These entries are counted skipped but not read: never

@@ -9,6 +9,7 @@ module Retry = Trex_resilience.Retry
 
 let m_degraded_runs = Metrics.counter "resilience.degraded_runs"
 let m_fallbacks = Metrics.counter "resilience.fallbacks"
+let m_node_reads = Metrics.counter "bptree.node_reads"
 
 type method_ = Era_method | Ta_method | Ita_method | Merge_method
 
@@ -49,6 +50,7 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   match method_ with
   | Era_method ->
       let clock = Stopclock.create () in
+      let reads0 = Metrics.value m_node_reads in
       let results, stats = Era.run ?guard index ~sids ~terms in
       let answers = Era.score_results index ~scoring ~terms results in
       {
@@ -58,8 +60,9 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
         entries_read = stats.positions_scanned;
         degraded = stats.degraded;
         detail =
-          Printf.sprintf "positions=%d seeks=%d emitted=%d" stats.positions_scanned
-            stats.iterator_seeks stats.elements_emitted;
+          Printf.sprintf "positions=%d seeks=%d emitted=%d node_reads=%d"
+            stats.positions_scanned stats.iterator_seeks stats.elements_emitted
+            (Metrics.value m_node_reads - reads0);
       }
   | Ta_method | Ita_method ->
       let ideal_heap = method_ = Ita_method in

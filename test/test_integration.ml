@@ -68,6 +68,24 @@ let test_query_default_method_uses_available_indexes () =
   Alcotest.(check bool) "large k uses Merge" true
     (o_large.strategy.method_used = Trex.Strategy.Merge_method)
 
+(* Materializing every IEEE Table-1 query in Table-1 order on the
+   120-document collection mixes compressed RPL rows of very different
+   sizes in one table; with count-midpoint splits, query 270's build
+   overflowed a page. Every table must verify clean afterwards. *)
+let test_materialize_ieee_table1_on_120_docs () =
+  let coll = Gen.ieee ~doc_count:120 ~seed:42 () in
+  let env = Trex.Env.in_memory () in
+  let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
+  List.iter
+    (fun (q : Queries.t) ->
+      let report = Trex.materialize engine q.nexi in
+      Alcotest.(check bool) (q.id ^ " built lists") true (report.pairs_built <> []))
+    (Queries.for_collection Queries.Ieee);
+  List.iter
+    (fun (r : Trex.Env.table_report) ->
+      Alcotest.(check bool) (r.table ^ " verifies") true r.ok)
+    (Trex.verify_storage ~env)
+
 let test_strict_filters_to_target () =
   let engine = engine_for Queries.Ieee in
   (* Vague: the translation may include support sids (//article); strict
@@ -305,6 +323,8 @@ let () =
         [
           Alcotest.test_case "default method selection" `Quick
             test_query_default_method_uses_available_indexes;
+          Alcotest.test_case "materialize ieee table-1 on 120 docs" `Quick
+            test_materialize_ieee_table1_on_120_docs;
           Alcotest.test_case "strict interpretation" `Quick
             test_strict_filters_to_target;
           Alcotest.test_case "structured evaluation" `Quick test_structured_evaluation;

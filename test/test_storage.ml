@@ -354,6 +354,115 @@ let prop_bptree_model =
       Bptree.iter t (fun k v -> actual := (k, v) :: !actual);
       List.rev !actual = expected)
 
+(* A leaf page whose entry count is a malformed varint — overlong (a
+   redundant zero group) or longer than 63 bits — is corruption like a
+   truncated one: [find] raises the typed exception and [verify] lists
+   the page instead of raising. *)
+let test_bptree_malformed_node_is_corruption () =
+  List.iter
+    (fun encoding ->
+      let pager = Pager.create_memory ~page_size:256 () in
+      let t = Bptree.create pager in
+      Bptree.insert t ~key:"k" ~value:"v";
+      let page = Bytes.make 256 '\x00' in
+      Bytes.blit_string encoding 0 page 0 (String.length encoding);
+      Pager.write pager (Pager.get_root pager) page;
+      Alcotest.(check bool) "find raises Corruption" true
+        (raises_corruption (fun () -> Bptree.find t "k"));
+      let report = Bptree.verify t in
+      Alcotest.(check bool) "verify reports the page" true
+        (List.exists
+           (fun p -> String.starts_with ~prefix:"page " p)
+           report.problems))
+    [ "L\x80\x00"; "L" ^ String.make 10 '\xff' ]
+
+(* Random inserts, with entries from [entry rng ~budget], and removals
+   of a live key on a quarter of the steps. Returns the tree and its
+   model. *)
+let random_tree rng ~page_size ~steps ~entry =
+  let pager = Pager.create_memory ~page_size () in
+  let t = Bptree.create pager in
+  let model = Hashtbl.create 64 in
+  for _ = 1 to steps do
+    if Hashtbl.length model > 0 && Prng.int rng 4 = 0 then begin
+      let live = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
+      let k = List.nth live (Prng.int rng (List.length live)) in
+      Hashtbl.remove model k;
+      ignore (Bptree.remove t k)
+    end
+    else begin
+      let key, value = entry rng ~budget:(Bptree.entry_budget pager) in
+      Bptree.insert t ~key ~value;
+      Hashtbl.replace model key value
+    end
+  done;
+  (t, model)
+
+(* An entry of [size] bytes in total whose key starts with [first]. *)
+let sized_entry rng ~first ~size =
+  let klen = 1 + Prng.int rng size in
+  let key =
+    String.init klen (fun i -> if i = 0 then first else Char.chr (97 + Prng.int rng 26))
+  in
+  (key, String.make (size - klen) 'v')
+
+let sorted_bindings model =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] |> List.sort compare
+
+(* Entries of any size in [1, entry_budget], with the size tied to the
+   key's first byte so small and large entries cluster in key order:
+   a node's halves can then differ several-fold in bytes at equal
+   counts. Splitting by bytes keeps every node within its page, where a
+   count midpoint overflowed it. *)
+let prop_bptree_mixed_sizes =
+  QCheck.Test.make ~name:"bptree splits by bytes under mixed entry sizes"
+    ~count:150 QCheck.int (fun seed ->
+      let rng = Prng.create seed in
+      let entry rng ~budget =
+        match Prng.int rng 3 with
+        | 0 -> sized_entry rng ~first:'a' ~size:(1 + Prng.int rng 4)
+        | 1 -> sized_entry rng ~first:'b' ~size:(budget - Prng.int rng (budget / 4))
+        | _ -> sized_entry rng ~first:'c' ~size:(1 + Prng.int rng budget)
+      in
+      let t, model = random_tree rng ~page_size:256 ~steps:300 ~entry in
+      let actual = ref [] in
+      Bptree.iter t (fun k v -> actual := (k, v) :: !actual);
+      (Bptree.verify t).problems = [] && List.rev !actual = sorted_bindings model)
+
+(* [reseek] must leave a cursor exactly where a fresh [seek] would, after
+   any mix of reseeks and nexts: probes include live keys (among them
+   every leaf's first and last), keys just past a live key (between
+   leaves), absent keys and keys past the last leaf. Removals leave
+   under-full and empty leaves in the chain. *)
+let prop_cursor_reseek_matches_seek =
+  QCheck.Test.make ~name:"cursor reseek then next matches a fresh seek"
+    ~count:150 QCheck.int (fun seed ->
+      let rng = Prng.create seed in
+      let t, model =
+        random_tree rng ~page_size:256 ~steps:(Prng.int rng 400)
+          ~entry:(fun rng ~budget:_ ->
+            sized_entry rng ~first:'m' ~size:(1 + Prng.int rng 12))
+      in
+      let live = Array.of_list (List.map fst (sorted_bindings model)) in
+      let probe () =
+        match Prng.int rng 6 with
+        | (0 | 1 | 2) when live <> [||] -> Prng.pick rng live
+        | 3 when live <> [||] -> Prng.pick rng live ^ "\x00"
+        | 4 -> if Prng.bool rng then "\xff" else "a"
+        | _ -> "m" ^ String.init (Prng.int rng 3) (fun _ -> Char.chr (97 + Prng.int rng 26))
+      in
+      let c = Bptree.Cursor.seek_first t in
+      let fresh = ref (Bptree.Cursor.seek_first t) in
+      List.for_all
+        (fun _ ->
+          if Prng.int rng 3 > 0 then begin
+            let k = probe () in
+            Bptree.Cursor.reseek c k;
+            fresh := Bptree.Cursor.seek t k
+          end;
+          Bptree.Cursor.next c = Bptree.Cursor.next !fresh)
+        (List.init 200 Fun.id))
+
 (* ---- environment ---- *)
 
 let test_env_tables () =
@@ -471,6 +580,10 @@ let () =
             test_bptree_oversized_entry_rejected;
           Alcotest.test_case "persistence" `Quick test_bptree_persistence;
           qtest prop_bptree_model;
+          Alcotest.test_case "malformed node is corruption" `Quick
+            test_bptree_malformed_node_is_corruption;
+          qtest prop_bptree_mixed_sizes;
+          qtest prop_cursor_reseek_matches_seek;
         ] );
       ( "env",
         [

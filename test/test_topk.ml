@@ -453,6 +453,92 @@ let test_era_matches_naive_oracle () =
       ("//fig//fgc", [ "evaluation" ]);
     ]
 
+(* ---- ERA + scoring vs an index-level brute-force evaluator ---- *)
+
+(* Independent of ERA's merged scan and of [Era.score_results]: every
+   element of every extent ([Index.extent_elements]) against every
+   position of every term ([Posting_iter]), containment counted
+   directly, each term's df read once and the score built with
+   [Scorer]. Returns sorted (docid, endpos, score). *)
+let brute_force_answers index ~sids ~terms =
+  let doc_count, avg_element_length = Index.scoring_corpus index in
+  let corpus = { Scorer.doc_count; avg_element_length } in
+  let offsets_by_doc term =
+    let by_doc = Hashtbl.create 64 in
+    let it = Index.Posting_iter.create index term in
+    let rec drain () =
+      let p = Index.Posting_iter.next_position it in
+      if not (Types.is_m_pos p) then begin
+        Hashtbl.add by_doc p.docid p.offset;
+        drain ()
+      end
+    in
+    drain ();
+    by_doc
+  in
+  let per_term = List.map (fun t -> (Index.term_df index t, offsets_by_doc t)) terms in
+  List.sort_uniq compare sids
+  |> List.concat_map (fun sid ->
+         List.filter_map
+           (fun (e : Types.element) ->
+             let tfs =
+               List.map
+                 (fun (_, by_doc) ->
+                   List.length
+                     (List.filter
+                        (fun offset -> Types.contains e { docid = e.docid; offset })
+                        (Hashtbl.find_all by_doc e.docid)))
+                 per_term
+             in
+             if List.for_all (( = ) 0) tfs then None
+             else
+               let scores =
+                 List.map2
+                   (fun (df, _) tf ->
+                     if tf = 0 then 0.0
+                     else Scorer.score scoring ~corpus ~df ~tf ~element_length:e.length)
+                   per_term tfs
+               in
+               Some (e.docid, e.endpos, Scorer.combine scores))
+           (Index.extent_elements index sid))
+  |> List.sort compare
+
+(* All seven Table-1 queries on both generated collections. Pages are
+   small so extents span many leaves and ERA's element seeks cross leaf
+   boundaries often (the raw posting layout keeps its rows within the
+   smaller entry budget; 4608 bytes still holds a 1 KiB source chunk). *)
+let test_era_matches_brute_force_on_table1 () =
+  let index_of (coll : Trex_corpus.Gen.collection) =
+    let env = Env.in_memory ~page_size:4608 () in
+    let summary = Summary.create ~alias:coll.alias Summary.Incoming in
+    Index.build ~env ~summary ~compress:false (coll.docs ())
+  in
+  let ieee = lazy (index_of (Trex_corpus.Gen.ieee ~doc_count:40 ~seed:42 ()))
+  and wiki = lazy (index_of (Trex_corpus.Gen.wikipedia ~doc_count:60 ~seed:43 ())) in
+  List.iter
+    (fun (q : Trex_corpus.Queries.t) ->
+      let index =
+        Lazy.force (match q.collection with Ieee -> ieee | Wikipedia -> wiki)
+      in
+      let t =
+        Trex_nexi.Translate.translate ~summary:(Index.summary index)
+          ~normalize:(Index.normalize_term index) (Trex_nexi.Parser.parse q.nexi)
+      in
+      let sids = Trex_nexi.Translate.all_sids t
+      and terms = Trex_nexi.Translate.all_terms t in
+      let era =
+        era_answers index ~sids ~terms
+        |> List.map (fun (a : Answer.entry) -> (a.element.docid, a.element.endpos, a.score))
+        |> List.sort compare
+      in
+      let oracle = brute_force_answers index ~sids ~terms in
+      Alcotest.(check bool) (q.id ^ " has answers") true (oracle <> []);
+      check
+        Alcotest.(list (triple int int (float 1e-9)))
+        (Printf.sprintf "%s: era = brute force (%d answers)" q.id (List.length oracle))
+        oracle era)
+    Trex_corpus.Queries.all
+
 let test_per_term_scores_sum_to_combined () =
   (* The per-term scores that fill RPLs must sum to the combined score
      ERA reports for the same element. *)
@@ -667,6 +753,34 @@ let test_full_rpl_descending_and_complete () =
   (* fox appears in 3 elements (2 b's, 1 c). *)
   check Alcotest.int "all extents covered" 3 (List.length entries)
 
+(* A summary with more than twice 63 sids: the sids whose hash once
+   landed on the bitmap's sign bit (62, 125) build, and every single-sid
+   cursor reads back exactly its own entry through the skip test. *)
+let test_full_rpl_many_sids () =
+  let xml =
+    "<a>"
+    ^ String.concat "" (List.init 140 (fun i -> Printf.sprintf "<t%d>fox</t%d>" i i))
+    ^ "</a>"
+  in
+  let env = Env.in_memory () in
+  let summary = Summary.create Summary.Incoming in
+  let index =
+    Index.build ~env ~summary ~analyzer:Analyzer.exact (List.to_seq [ ("d.xml", xml) ])
+  in
+  let sids = Summary.sids summary in
+  Alcotest.(check bool) "more than 126 sids" true (List.length sids > 126);
+  ignore (Rpl.Full.build index ~scoring ~terms:[ "fox" ] ());
+  check Alcotest.int "one entry per extent" (List.length sids)
+    (Rpl.Full.list_entries index ~term:"fox");
+  List.iter
+    (fun sid ->
+      let c = Rpl.Full.cursor index ~term:"fox" ~sids:[ sid ] in
+      let rec drain acc =
+        match Rpl.Full.next c with Some e -> drain (e.Rpl.element.sid :: acc) | None -> acc
+      in
+      check Alcotest.(list int) (Printf.sprintf "sid %d" sid) [ sid ] (drain []))
+    sids
+
 (* ---- strategy ---- *)
 
 let test_strategy_availability () =
@@ -756,6 +870,8 @@ let () =
           Alcotest.test_case "duplicate sids" `Quick test_era_duplicate_sids_ignored;
           Alcotest.test_case "matches brute-force oracle" `Quick
             test_era_matches_naive_oracle;
+          Alcotest.test_case "table-1 scores match brute force" `Quick
+            test_era_matches_brute_force_on_table1;
           Alcotest.test_case "per-term scores sum to combined" `Quick
             test_per_term_scores_sum_to_combined;
           QCheck_alcotest.to_alcotest prop_strategies_agree_on_random_corpora;
@@ -803,6 +919,7 @@ let () =
           Alcotest.test_case "build + skipping TA" `Quick
             test_full_rpl_build_and_skipping_ta;
           Alcotest.test_case "missing and drop" `Quick test_full_rpl_missing_and_drop;
+          Alcotest.test_case "more than 63 sids" `Quick test_full_rpl_many_sids;
           Alcotest.test_case "descending and complete" `Quick
             test_full_rpl_descending_and_complete;
         ] );
