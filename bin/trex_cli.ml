@@ -174,20 +174,30 @@ let query_cmd =
     if trace || trace_out <> None then Trex.Obs.Span.set_enabled true;
     if journal then Trex.Obs.Journal.set_enabled true;
     let outcome =
-      if structured then
-        Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
-      else
-        let m =
-          Option.map
-            (function
-              | "era" -> Trex.Strategy.Era_method
-              | "ta" -> Trex.Strategy.Ta_method
-              | "ita" -> Trex.Strategy.Ita_method
-              | "merge" -> Trex.Strategy.Merge_method
-              | other -> failwith (Printf.sprintf "unknown method %S" other))
-            method_
-        in
-        Trex.query engine ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi
+      try
+        if structured then
+          Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
+        else
+          let m =
+            Option.map
+              (function
+                | "era" -> Trex.Strategy.Era_method
+                | "ta" -> Trex.Strategy.Ta_method
+                | "ita" -> Trex.Strategy.Ita_method
+                | "merge" -> Trex.Strategy.Merge_method
+                | other -> failwith (Printf.sprintf "unknown method %S" other))
+              method_
+          in
+          Trex.query engine ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi
+      with Trex.Rpl.Cursor.Missing_list { kind; term; sid } ->
+        (* A forced method whose lists were never materialized is a
+           user error, not a crash. *)
+        Printf.eprintf
+          "trex query: %s list for term %S, sid %d is not materialized \
+           (run materialize first)\n"
+          (Trex.Rpl.kind_to_string kind) term sid;
+        Trex.Env.close storage;
+        exit 1
     in
     Printf.printf "%s: %d answers in %.2f ms (%s)\n"
       (Trex.Strategy.method_to_string outcome.strategy.method_used)

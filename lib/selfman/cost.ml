@@ -36,12 +36,7 @@ let time_method index ~scoring ~sids ~terms ~k ~runs method_ =
 let certified_prefix index ~scoring ~sids ~terms ~k ~reads =
   let n_lists = max 1 (List.length sids * List.length terms) in
   let full_entries =
-    List.fold_left
-      (fun acc term ->
-        List.fold_left
-          (fun acc sid -> acc + Rpl.list_entries index Rpl.Rpl ~term ~sid)
-          acc sids)
-      0 terms
+    Option.value (Rpl.materialized index Rpl.Rpl ~sids ~terms) ~default:0
   in
   let rebuild prefix =
     List.iter

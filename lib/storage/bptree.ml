@@ -304,44 +304,40 @@ module Cursor = struct
     mutable next_leaf : int;
   }
 
-  let rec load c leaf_id =
-    if leaf_id < 0 then begin
-      c.entries <- [||];
+  (* Install a decoded leaf, moving on past empty ones. *)
+  let rec fill c entries next =
+    if Array.length entries = 0 && next >= 0 then load c next
+    else begin
+      c.entries <- entries;
       c.idx <- 0;
-      c.next_leaf <- -1
+      c.next_leaf <- next
     end
+
+  and load c leaf_id =
+    if leaf_id < 0 then fill c [||] (-1)
     else
       match read_node c.tree leaf_id with
-      | Leaf { entries; next } ->
-          if Array.length entries = 0 && next >= 0 then load c next
-          else begin
-            c.entries <- entries;
-            c.idx <- 0;
-            c.next_leaf <- next
-          end
+      | Leaf { entries; next } -> fill c entries next
       | Internal _ -> failwith "Bptree.Cursor: internal node in leaf chain"
 
-  let leftmost_leaf t =
+  (* Descend from the root, choosing a child with [pick], and install
+     the leaf the descent decoded (reading it once, not twice). *)
+  let descend c pick =
     let rec go id =
-      match read_node t id with
-      | Leaf _ -> id
-      | Internal { children; _ } -> go children.(0)
+      match read_node c.tree id with
+      | Internal { keys; children } -> go children.(pick keys)
+      | Leaf { entries; next } -> fill c entries next
     in
-    go t.root
+    go c.tree.root
 
   let seek_first t =
     let c = { tree = t; entries = [||]; idx = 0; next_leaf = -1 } in
-    load c (leftmost_leaf t);
+    descend c (fun _ -> 0);
     c
 
   (* Root-to-leaf descent. *)
   let position c key =
-    let rec descend id =
-      match read_node c.tree id with
-      | Internal { keys; children } -> descend children.(child_index keys key)
-      | Leaf _ -> id
-    in
-    load c (descend c.tree.root);
+    descend c (fun keys -> child_index keys key);
     c.idx <- lower_bound c.entries key;
     (* The sought key may be past this leaf's last entry. *)
     if c.idx >= Array.length c.entries && c.next_leaf >= 0 then load c c.next_leaf
@@ -352,17 +348,20 @@ module Cursor = struct
     c
 
   (* A leaf holds a contiguous run of the key order, so when
-     first < key <= last the loaded leaf contains key's lower bound and
-     its predecessor: the binary search in place is exact, with no node
-     read. *)
+     first <= key <= last the loaded leaf contains key's lower bound:
+     the binary search in place is exact, with no node read. *)
   let reseek c key =
     let n = Array.length c.entries in
     if
       n > 0
-      && String.compare (fst c.entries.(0)) key < 0
+      && String.compare (fst c.entries.(0)) key <= 0
       && String.compare key (fst c.entries.(n - 1)) <= 0
     then c.idx <- lower_bound c.entries key
     else position c key
+
+  (* [load] replaces [entries] and never writes into it, so the copy
+     may share the decoded leaf. *)
+  let copy c = { c with idx = c.idx }
 
   let next c =
     if c.idx < Array.length c.entries then begin

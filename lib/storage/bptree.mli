@@ -79,12 +79,17 @@ module Cursor : sig
 
   val reseek : cursor -> string -> unit
   (** Reposition at the first entry with key [>=] the argument, exactly
-      as a fresh {!seek} would. When the key lies strictly after the
-      loaded leaf's first key and at or before its last key, that leaf
-      already holds the answer and is binary-searched in place, without
-      reading a node; otherwise the cursor descends from the root. A
-      run of forward seeks over nearby keys (ERA's element seeks)
-      therefore decodes each leaf once. *)
+      as a fresh {!seek} would. When the key lies between the loaded
+      leaf's first and last keys (inclusive), that leaf already holds
+      the answer and is binary-searched in place, without reading a
+      node; otherwise the cursor descends from the root. A run of
+      forward seeks over nearby keys (ERA's element seeks, a term's
+      catalog rows) therefore decodes each leaf once. *)
+
+  val copy : cursor -> cursor
+  (** An independent cursor at the same position. It shares the
+      already-decoded leaf, so copying reads no node; advancing or
+      repositioning either cursor leaves the other unchanged. *)
 
   val next : cursor -> (string * string) option
 end

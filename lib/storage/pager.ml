@@ -95,6 +95,10 @@ type t = {
   mutable cache_misses : int;
   mutable checksum_failures : int;
   mutable recoveries : int;
+  mutable mirrored : int;
+      (* how many header slots (0-2) hold a synced commit of exactly the
+         current state; any write, allocation or new root resets it. At
+         2 both slots agree, so {!close} has nothing to add. *)
 }
 
 (* On-disk format "TRExPG02".
@@ -122,7 +126,8 @@ let path t =
 
 let corrupt t ~page detail = raise (Corruption { path = path t; page; detail })
 
-let mk backend ~page_size ~page_count ~root ~epoch ~recoveries =
+let mk ?(mirrored = 0) backend ~page_size ~page_count ~root ~epoch
+    ~recoveries =
   {
     backend;
     page_size;
@@ -141,6 +146,7 @@ let mk backend ~page_size ~page_count ~root ~epoch ~recoveries =
     cache_misses = 0;
     checksum_failures = 0;
     recoveries;
+    mirrored;
   }
 
 let create_memory ?(page_size = default_page_size) () =
@@ -385,8 +391,17 @@ let open_internal ~allow_fallback ?(cache_pages = 4096) path =
   let s1 = decode_slot ~file_len hdr slot_size in
   let finish ~slot ~fell_back ~note =
     if fell_back then Metrics.incr m_recoveries;
+    let mirrored =
+      match (s0, s1) with
+      | _ when fell_back -> 0
+      | Ok a, Ok b
+        when (a.d_page_size, a.d_page_count, a.d_root)
+             = (b.d_page_size, b.d_page_count, b.d_root) ->
+          2
+      | _ -> 1
+    in
     let t =
-      mk
+      mk ~mirrored
         (File { fd; cache_pages; path })
         ~page_size:slot.d_page_size ~page_count:slot.d_page_count
         ~root:slot.d_root ~epoch:slot.d_epoch
@@ -430,7 +445,9 @@ let page_count t = t.page_count
 (* Root updates are buffered in memory and only reach the disk at the
    next {!flush} — after the pages they point into — so a crash can
    never publish a root whose subtree was not written. *)
-let set_root t r = t.root <- r
+let set_root t r =
+  if r <> t.root then t.mirrored <- 0;
+  t.root <- r
 let get_root t = t.root
 
 let file_offset t id = header_size + (id * (t.page_size + page_trailer))
@@ -496,6 +513,7 @@ let touch t c =
   c.stamp <- t.tick
 
 let allocate t =
+  t.mirrored <- 0;
   let id = t.page_count in
   t.page_count <- t.page_count + 1;
   (match t.backend with
@@ -551,6 +569,7 @@ let write t id buf =
   check_id t id;
   if Bytes.length buf <> t.page_size then
     invalid_arg "Pager.write: buffer length mismatch";
+  t.mirrored <- 0;
   match t.backend with
   | Memory pages ->
       if not (!pages.(id) == buf) then Bytes.blit buf 0 !pages.(id) 0 t.page_size
@@ -578,7 +597,8 @@ let flush ?(sync = false) t =
           end)
         t.cache;
       if sync then do_fsync t fd;
-      commit_header ~sync t
+      commit_header ~sync t;
+      t.mirrored <- (if sync then min 2 (t.mirrored + 1) else 0)
 
 let verify_checksums t =
   match t.backend with
@@ -594,7 +614,7 @@ let verify_checksums t =
       !bad
 
 let close t =
-  flush ~sync:true t;
+  if t.mirrored < 2 then flush ~sync:true t;
   match t.backend with
   | Memory pages -> pages := [||]
   | File { fd; _ } -> Unix.close fd

@@ -106,7 +106,13 @@ val verify_checksums : t -> (int * string) list
 
 val stats : t -> stats
 val close : t -> unit
-(** Durable flush ([sync:true]) then release. *)
+(** Durable flush ([sync:true]) then release. The flush is skipped when
+    both header slots already hold a synced commit of the current state
+    (the file was only read since), so closing after read-only use
+    never changes the file's bytes. Otherwise it commits once more, as
+    before: after a durable flush that second commit mirrors the state
+    into the other slot, and a file opened through a header fallback is
+    healed. *)
 
 val abort : t -> unit
 (** Release without flushing — the cache and any buffered root/header

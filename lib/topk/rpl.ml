@@ -32,6 +32,12 @@ let check_generation index name =
   if Env.table_blocked env name then
     raise (Stale_generation { table = name; generation = Env.generation env })
 
+(* Read paths open a table only when it exists: a query on an env that
+   never materialized anything must leave the env as it found it. *)
+let existing_table index name =
+  let env = Index.env index in
+  if Env.has_table env name then Some (Env.table env name) else None
+
 let chunk_size = 32
 
 (* ---- keys ---- *)
@@ -383,10 +389,33 @@ let decode_catalog_row v =
   else raise (Codec.Reader.Malformed "Rpl: unknown catalog row version")
 
 let catalog_find index kind ~term ~sid =
-  let tbl = Env.table (Index.env index) (catalog_name kind) in
-  match Bptree.find tbl (catalog_key ~term ~sid) with
+  match existing_table index (catalog_name kind) with
   | None -> None
-  | Some v -> Some (decode_catalog_row v)
+  | Some tbl ->
+      Option.map decode_catalog_row (Bptree.find tbl (catalog_key ~term ~sid))
+
+(* One term's catalog rows for ascending [sids] in one forward walk:
+   seek the first pair, then reseek per sid, which stays inside the
+   loaded leaf between neighbours. [Error sid] names the first pair
+   without a row; an absent catalog means nothing is materialized. *)
+let catalog_rows index kind ~term ~sids =
+  match sids with
+  | [] -> Ok []
+  | first :: _ -> (
+      match existing_table index (catalog_name kind) with
+      | None -> Error first
+      | Some tbl ->
+          let c = Bptree.Cursor.seek tbl (catalog_key ~term ~sid:first) in
+          let rec walk acc = function
+            | [] -> Ok (List.rev acc)
+            | sid :: rest -> (
+                let key = catalog_key ~term ~sid in
+                if sid <> first then Bptree.Cursor.reseek c key;
+                match Bptree.Cursor.next c with
+                | Some (k, v) when k = key -> walk (decode_catalog_row v :: acc) rest
+                | Some _ | None -> Error sid)
+          in
+          walk [] sids)
 
 let catalog_put index kind ~term ~sid ~entries ~bytes ~raw_bytes ~truncated
     ~bound ~layout =
@@ -407,10 +436,18 @@ let catalog_put index kind ~term ~sid ~entries ~bytes ~raw_bytes ~truncated
 let is_materialized index kind ~term ~sid =
   catalog_find index kind ~term ~sid <> None
 
-let covers index kind ~sids ~terms =
-  List.for_all
-    (fun term -> List.for_all (fun sid -> is_materialized index kind ~term ~sid) sids)
-    terms
+let materialized index kind ~sids ~terms =
+  let sids = List.sort_uniq compare sids in
+  let rec sum total = function
+    | [] -> Some total
+    | term :: rest -> (
+        match catalog_rows index kind ~term ~sids with
+        | Ok rows -> sum (List.fold_left (fun n row -> n + row.cat_entries) total rows) rest
+        | Error _ -> None)
+  in
+  sum 0 terms
+
+let covers index kind ~sids ~terms = materialized index kind ~sids ~terms <> None
 
 let list_bytes index kind ~term ~sid =
   match catalog_find index kind ~term ~sid with Some c -> c.cat_bytes | None -> 0
@@ -437,13 +474,15 @@ let list_raw_bytes index kind ~term ~sid =
   | None -> 0
 
 let catalog index kind =
-  let tbl = Env.table (Index.env index) (catalog_name kind) in
   let out = ref [] in
-  Bptree.iter tbl (fun k v ->
-      let term, p = Codec.string_of_key k ~pos:0 in
-      let sid, _ = Codec.int_of_key k ~pos:p in
-      let row = decode_catalog_row v in
-      out := (term, sid, row.cat_entries, row.cat_bytes) :: !out);
+  Option.iter
+    (fun tbl ->
+      Bptree.iter tbl (fun k v ->
+          let term, p = Codec.string_of_key k ~pos:0 in
+          let sid, _ = Codec.int_of_key k ~pos:p in
+          let row = decode_catalog_row v in
+          out := (term, sid, row.cat_entries, row.cat_bytes) :: !out))
+    (existing_table index (catalog_name kind));
   List.rev !out
 
 let total_bytes index kind =
@@ -702,8 +741,10 @@ module Full = struct
     List.rev !out
 
   let catalog_find index ~term =
-    let tbl = Env.table (Index.env index) catalog_name in
-    match Bptree.find tbl (Codec.key_of_string term) with
+    match
+      Option.bind (existing_table index catalog_name) (fun tbl ->
+          Bptree.find tbl (Codec.key_of_string term))
+    with
     | None -> None
     | Some v ->
         let r = Codec.Reader.of_string v in
@@ -1074,38 +1115,45 @@ module Cursor = struct
     static_truncated : bool;
   }
 
+  (* The term's catalog rows come from one walk and its streams from
+     one walker reseeked forward through the pair prefixes; each stream
+     starts from a copy, sharing the walker's decoded leaf. *)
   let create index kind ~term ~sids =
     check_generation index (table_name kind);
     check_generation index (catalog_name kind);
-    let tbl = Env.table (Index.env index) (table_name kind) in
     let sids = List.sort_uniq compare sids in
-    let static_bound = ref 0.0 and static_truncated = ref false in
+    let rows =
+      match catalog_rows index kind ~term ~sids with
+      | Ok rows -> rows
+      | Error sid -> raise (Missing_list { kind; term; sid })
+    in
     let streams =
-      sids
-      |> List.map (fun sid ->
-             match catalog_find index kind ~term ~sid with
-             | None -> raise (Missing_list { kind; term; sid })
-             | Some row ->
-                 static_bound := Float.max !static_bound row.cat_bound;
-                 if row.cat_truncated then static_truncated := true;
-                 let prefix = pair_prefix ~term ~sid in
-                 {
-                   s_cursor = Bptree.Cursor.seek tbl prefix;
-                   s_prefix = prefix;
-                   s_sid = sid;
-                   s_kind = kind;
-                   s_bound = 0.0;
-                   s_skip = None;
-                   s_chunk = [];
-                   s_seg = None;
-                   s_done = false;
-                   s_skipped_by_bound = false;
-                   s_dyn_bound = 0.0;
-                   s_blocks_decoded = 0;
-                   s_blocks_skipped = 0;
-                   s_entries_skipped = 0;
-                 })
-      |> Array.of_list
+      match sids with
+      | [] -> [||]
+      | first :: _ ->
+          let tbl = Env.table (Index.env index) (table_name kind) in
+          let w = Bptree.Cursor.seek tbl (pair_prefix ~term ~sid:first) in
+          Array.map
+            (fun sid ->
+              let prefix = pair_prefix ~term ~sid in
+              if sid <> first then Bptree.Cursor.reseek w prefix;
+              {
+                s_cursor = Bptree.Cursor.copy w;
+                s_prefix = prefix;
+                s_sid = sid;
+                s_kind = kind;
+                s_bound = 0.0;
+                s_skip = None;
+                s_chunk = [];
+                s_seg = None;
+                s_done = false;
+                s_skipped_by_bound = false;
+                s_dyn_bound = 0.0;
+                s_blocks_decoded = 0;
+                s_blocks_skipped = 0;
+                s_entries_skipped = 0;
+              })
+            (Array.of_list sids)
     in
     let heap = Merge_heap.create () in
     Array.iteri
@@ -1119,8 +1167,9 @@ module Cursor = struct
       streams;
       heap;
       read = 0;
-      static_bound = !static_bound;
-      static_truncated = !static_truncated;
+      static_bound =
+        List.fold_left (fun acc row -> Float.max acc row.cat_bound) 0.0 rows;
+      static_truncated = List.exists (fun row -> row.cat_truncated) rows;
     }
 
   (* Install a score floor after creation (RPL cursors): the heads

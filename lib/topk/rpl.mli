@@ -83,9 +83,16 @@ val build :
 
 val is_materialized : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> bool
 
+val materialized :
+  Trex_invindex.Index.t -> kind -> sids:int list -> terms:string list -> int option
+(** Total entry count of the query's (term, sid) lists when every one
+    of them exists, [None] otherwise. Reads each term's catalog rows in
+    one forward walk, and never creates the catalog. *)
+
 val covers :
   Trex_invindex.Index.t -> kind -> sids:int list -> terms:string list -> bool
-(** All (term, sid) lists needed to evaluate the query exist. *)
+(** All (term, sid) lists needed to evaluate the query exist:
+    [materialized ... <> None]. *)
 
 val list_bytes : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> int
 (** Encoded size estimate recorded in the catalog; 0 when absent. *)
@@ -196,7 +203,11 @@ module Cursor : sig
     term:string ->
     sids:int list ->
     t
-  (** @raise Missing_list if any required (term, sid) list is absent.
+  (** Reads the term's catalog rows in one walk and opens the
+      per-sid streams by walking one B+tree cursor forward through the
+      (term, sid) prefixes.
+      @raise Missing_list naming the first absent (term, sid) list, in
+        ascending sid order, before any list table is opened.
       @raise Stale_generation when the kind's tables are blocked
         pending manifest resolution. *)
 

@@ -47,10 +47,11 @@ type outcome = {
 }
 
 let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
+  let reads0 = Metrics.value m_node_reads in
+  let node_reads () = Metrics.value m_node_reads - reads0 in
   match method_ with
   | Era_method ->
       let clock = Stopclock.create () in
-      let reads0 = Metrics.value m_node_reads in
       let results, stats = Era.run ?guard index ~sids ~terms in
       let answers = Era.score_results index ~scoring ~terms results in
       {
@@ -62,7 +63,7 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
         detail =
           Printf.sprintf "positions=%d seeks=%d emitted=%d node_reads=%d"
             stats.positions_scanned stats.iterator_seeks stats.elements_emitted
-            (Metrics.value m_node_reads - reads0);
+            (node_reads ());
       }
   | Ta_method | Ita_method ->
       let ideal_heap = method_ = Ita_method in
@@ -77,9 +78,11 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
         degraded = stats.degraded;
         detail =
           Printf.sprintf
-            "accesses=%d heap_ops=%d pushes=%d evictions=%d candidates=%d early=%b"
+            "accesses=%d heap_ops=%d pushes=%d evictions=%d candidates=%d \
+             early=%b node_reads=%d"
             stats.sorted_accesses stats.heap_operations stats.heap_pushes
-            stats.heap_evictions stats.candidates stats.stopped_early;
+            stats.heap_evictions stats.candidates stats.stopped_early
+            (node_reads ());
       }
   | Merge_method ->
       let answers, stats = Merge.run ?guard index ~sids ~terms in
@@ -90,8 +93,8 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
         entries_read = stats.entries_read;
         degraded = stats.degraded;
         detail =
-          Printf.sprintf "entries=%d merged=%d" stats.entries_read
-            stats.elements_merged;
+          Printf.sprintf "entries=%d merged=%d node_reads=%d"
+            stats.entries_read stats.elements_merged (node_reads ());
       }
 
 (* One journal record per *top-level* evaluation. [evaluate], [race]
@@ -152,23 +155,23 @@ let breakers_permit index method_ =
   let env = Trex_invindex.Index.env index in
   List.for_all (Env.table_available env) (tables_of_method method_)
 
-let available index ~sids ~terms =
-  let rpl_ok = Rpl.covers index Rpl.Rpl ~sids ~terms in
+(* One catalog pass per kind: the RPL walk yields both coverage and the
+   entry total [choose] weighs k against. *)
+let plan index ~sids ~terms =
+  let rpl_entries = Rpl.materialized index Rpl.Rpl ~sids ~terms in
   let erpl_ok = Rpl.covers index Rpl.Erpl ~sids ~terms in
-  List.filter
-    (function
-      | Era_method -> true
-      | Ta_method | Ita_method -> rpl_ok && breakers_permit index Ta_method
-      | Merge_method -> erpl_ok && breakers_permit index Merge_method)
-    all_methods
+  let methods =
+    List.filter
+      (function
+        | Era_method -> true
+        | Ta_method | Ita_method ->
+            rpl_entries <> None && breakers_permit index Ta_method
+        | Merge_method -> erpl_ok && breakers_permit index Merge_method)
+      all_methods
+  in
+  (methods, Option.value rpl_entries ~default:0)
 
-let materialized_entries index kind ~sids ~terms =
-  List.fold_left
-    (fun acc term ->
-      List.fold_left
-        (fun acc sid -> acc + Rpl.list_entries index kind ~term ~sid)
-        acc sids)
-    0 terms
+let available index ~sids ~terms = fst (plan index ~sids ~terms)
 
 let race ?guard index ~scoring ~sids ~terms ~k =
   with_journal index ~sids ~terms ~k ~summary:(fun o -> (o, 0)) @@ fun () ->
@@ -193,9 +196,8 @@ let race ?guard index ~scoring ~sids ~terms ~k =
   else evaluate index ~scoring ~sids ~terms ~k ?guard Era_method
 
 let choose index ~sids ~terms ~k =
-  let methods = available index ~sids ~terms in
+  let methods, total_rpl = plan index ~sids ~terms in
   let has m = List.mem m methods in
-  let total_rpl = materialized_entries index Rpl.Rpl ~sids ~terms in
   (* TA wins when it can stop after a small prefix; once k approaches
      the list sizes it reads everything and pays heap management on
      top, where Merge's single pass wins (paper §5.2). *)

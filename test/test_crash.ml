@@ -267,6 +267,39 @@ let test_header_bit_flip_either_slot () =
       Pager.abort p)
     [ ("slot0", 0); ("slot1", 64) ]
 
+(* [Pager.close] skips its flush only when both header slots already
+   hold the current state. A file whose newest commit sits alone in one
+   slot (bulk-loaded, then the process died) gets it mirrored by the
+   first read-only close, so damage to either slot still recovers every
+   row; the next read-only session leaves the bytes untouched. *)
+let test_read_only_close_mirrors_then_writes_nothing () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "lone.tbl" in
+  let p = Pager.create_file ~page_size:512 path in
+  ignore (Bptree.bulk_load p (List.to_seq (entries 200)));
+  Pager.abort p;
+  let contents path = In_channel.with_open_bin path In_channel.input_all in
+  let read_only () =
+    let p = Pager.open_file path in
+    check Alcotest.int "rows" 200 (Bptree.length (Bptree.attach p));
+    Pager.close p
+  in
+  read_only ();
+  let mirrored = contents path in
+  read_only ();
+  Alcotest.(check bool) "second read-only session writes nothing" true
+    (contents path = mirrored);
+  List.iter
+    (fun (label, slot_off) ->
+      let copy = Filename.concat dir (label ^ ".tbl") in
+      Out_channel.with_open_bin copy (fun oc -> output_string oc mirrored);
+      flip_bit_in_file copy ~off:(slot_off + 20) ~bit:6;
+      let p, recovery = Pager.open_with_recovery copy in
+      Alcotest.(check bool) (label ^ ": recovered") true recovery.Pager.recovered;
+      check Alcotest.int (label ^ ": rows intact") 200 (Bptree.length (Bptree.attach p));
+      Pager.abort p)
+    [ ("slot0", 0); ("slot1", 64) ]
+
 let prop_page_bit_flip_always_detected =
   let open QCheck in
   Test.make ~name:"any page-region bit flip is detected, never served"
@@ -503,6 +536,8 @@ let () =
             test_page_bit_flip_detected;
           Alcotest.test_case "header bit flip either slot" `Quick
             test_header_bit_flip_either_slot;
+          Alcotest.test_case "read-only close mirrors, then writes nothing" `Quick
+            test_read_only_close_mirrors_then_writes_nothing;
           qtest prop_page_bit_flip_always_detected;
         ] );
       ( "env",

@@ -169,6 +169,52 @@ let test_persistence_roundtrip () =
     (Trex.Answer.equal answers1 o2.strategy.answers);
   Trex.Env.close env2
 
+(* Every file in the env directory with its bytes. *)
+let dir_snapshot dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+(* Read-only queries on an env with nothing materialized leave it
+   byte-identical: the default plan answers with ERA, forced TA and
+   Merge raise [Missing_list], and no catalog or list table appears. *)
+let test_unmaterialized_queries_leave_env_unchanged () =
+  let dir = Filename.temp_file "trex_readonly" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let coll = Gen.ieee ~doc_count:20 ~seed:5 () in
+  let nexi = "//sec[about(., information retrieval)]" in
+  let env = Trex.Env.on_disk dir in
+  ignore (Trex.build ~env ~alias:coll.alias (coll.docs ()));
+  Trex.Env.close env;
+  let before = dir_snapshot dir in
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  let o = Trex.query engine ~k:10 nexi in
+  check Alcotest.string "default method" "ERA"
+    (Trex.Strategy.method_to_string o.strategy.method_used);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Trex.Strategy.method_to_string m ^ " raises Missing_list")
+        true
+        (match Trex.query engine ~k:10 ~method_:m nexi with
+        | _ -> false
+        | exception Trex.Rpl.Cursor.Missing_list _ -> true))
+    [ Trex.Strategy.Ta_method; Trex.Strategy.Merge_method ];
+  Trex.Env.close env;
+  check
+    Alcotest.(list string)
+    "same files" (List.map fst before)
+    (List.map fst (dir_snapshot dir));
+  Alcotest.(check bool) "same bytes" true (before = dir_snapshot dir);
+  let env = Trex.Env.on_disk dir in
+  List.iter
+    (fun (r : Trex.Env.table_report) ->
+      Alcotest.(check bool) (r.table ^ " verifies") true r.ok)
+    (Trex.Env.verify env);
+  Trex.Env.close env
+
 let test_table_sizes_reported () =
   let engine = engine_for Queries.Ieee in
   let sizes = Trex.table_sizes engine in
@@ -331,6 +377,8 @@ let () =
           Alcotest.test_case "structured exclusion" `Quick test_structured_exclusion;
           Alcotest.test_case "hits presentable" `Quick test_hits_are_presentable;
           Alcotest.test_case "persistence roundtrip" `Quick test_persistence_roundtrip;
+          Alcotest.test_case "unmaterialized queries leave env unchanged" `Quick
+            test_unmaterialized_queries_leave_env_unchanged;
           Alcotest.test_case "table sizes" `Quick test_table_sizes_reported;
           Alcotest.test_case "advise end-to-end" `Quick test_advise_end_to_end;
           Alcotest.test_case "structured phrase and must" `Quick

@@ -463,6 +463,48 @@ let prop_cursor_reseek_matches_seek =
           Bptree.Cursor.next c = Bptree.Cursor.next !fresh)
         (List.init 200 Fun.id))
 
+(* After [copy] the two cursors move independently: while one of them
+   runs nexts across leaves and reseeks anywhere, the other still
+   yields exactly what a fresh cursor at the copy point yields. *)
+let prop_cursor_copy_independent =
+  QCheck.Test.make ~name:"cursor copy moves independently of its source"
+    ~count:150 QCheck.int (fun seed ->
+      let rng = Prng.create seed in
+      let t, model =
+        random_tree rng ~page_size:256 ~steps:(Prng.int rng 400)
+          ~entry:(fun rng ~budget:_ ->
+            sized_entry rng ~first:'m' ~size:(1 + Prng.int rng 12))
+      in
+      let live = Array.of_list (List.map fst (sorted_bindings model)) in
+      let probe () =
+        if live <> [||] && Prng.bool rng then Prng.pick rng live
+        else "m" ^ String.init (Prng.int rng 3) (fun _ -> Char.chr (97 + Prng.int rng 26))
+      in
+      let start = probe () and skip = Prng.int rng 8 in
+      let positioned () =
+        let c = Bptree.Cursor.seek t start in
+        for _ = 1 to skip do ignore (Bptree.Cursor.next c) done;
+        c
+      in
+      let drain c =
+        let rec go acc =
+          match Bptree.Cursor.next c with Some e -> go (e :: acc) | None -> List.rev acc
+        in
+        go []
+      in
+      let expected = drain (positioned ()) in
+      let source = positioned () in
+      let copy = Bptree.Cursor.copy source in
+      let moved, kept = if Prng.bool rng then (source, copy) else (copy, source) in
+      let seen = ref [] in
+      for _ = 1 to Prng.int rng 60 do
+        match Prng.int rng 3 with
+        | 0 -> Option.iter (fun e -> seen := e :: !seen) (Bptree.Cursor.next kept)
+        | 1 -> ignore (Bptree.Cursor.next moved)
+        | _ -> Bptree.Cursor.reseek moved (probe ())
+      done;
+      List.rev_append !seen (drain kept) = expected)
+
 (* ---- environment ---- *)
 
 let test_env_tables () =
@@ -584,6 +626,7 @@ let () =
             test_bptree_malformed_node_is_corruption;
           qtest prop_bptree_mixed_sizes;
           qtest prop_cursor_reseek_matches_seek;
+          qtest prop_cursor_copy_independent;
         ] );
       ( "env",
         [

@@ -859,6 +859,152 @@ let test_strategy_evaluate_dispatch () =
       Alcotest.(check bool) "elapsed sane" true (o.Strategy.elapsed_seconds >= 0.0))
     Strategy.all_methods
 
+(* ---- catalog and list walks ---- *)
+
+(* Raw-layout lists on 4608-byte pages: a leaf holds about ten chunk
+   rows, so long pair lists straddle leaves while short neighbouring
+   lists share one. The third term's lists are dropped for every third
+   sid, and [absent_sid] has no list for any term. *)
+let walk_fixture =
+  lazy
+    (let coll = Trex_corpus.Gen.ieee ~doc_count:60 ~seed:11 () in
+     let env = Env.in_memory ~page_size:4608 () in
+     let summary = Summary.create ~alias:coll.alias Summary.Incoming in
+     let index = Index.build ~env ~summary ~compress:false (coll.docs ()) in
+     let terms =
+       List.filter_map (Index.normalize_term index) [ "information"; "retrieval"; "model" ]
+     in
+     let sids = Summary.sids summary in
+     ignore
+       (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ]
+          ~layout:Rpl.Raw ());
+     let sparse = List.nth terms 2 in
+     List.iteri
+       (fun i sid ->
+         if i mod 3 = 0 then
+           List.iter (fun kind -> Rpl.drop index kind ~term:sparse ~sid) [ Rpl.Rpl; Rpl.Erpl ])
+       sids;
+     (index, Array.of_list terms, Array.of_list sids))
+
+let absent_sid = 1_000_000
+
+let kind_order = function
+  | Rpl.Rpl ->
+      fun (a : Rpl.entry) (b : Rpl.entry) ->
+        (match compare b.score a.score with
+        | 0 -> Types.compare_element a.element b.element
+        | c -> c)
+  | Rpl.Erpl -> fun a b -> Types.compare_element a.element b.element
+
+let drain_cursor c =
+  let rec go acc =
+    match Rpl.Cursor.next c with Some e -> go (e :: acc) | None -> List.rev acc
+  in
+  go []
+
+let open_drained index kind ~term ~sids =
+  match Rpl.Cursor.create index kind ~term ~sids with
+  | c -> Ok (drain_cursor c)
+  | exception Rpl.Cursor.Missing_list { kind; term; sid } -> Error (kind, term, sid)
+
+(* A sid subset drawn from the fixture's sids, [absent_sid] standing in
+   for index [Array.length sids]; duplicates and any order allowed. *)
+let walk_case =
+  QCheck.(triple bool (int_bound 2) (small_list (int_bound 1000)))
+
+let walk_sids sids picks =
+  let n = Array.length sids in
+  List.map (fun i -> if i mod (n + 1) = n then absent_sid else sids.(i mod (n + 1))) picks
+
+(* The walked cursor over a sid subset yields, entry for entry, the
+   merge of singleton-sid cursors (each one a fresh seek), and reports
+   the same first missing (kind, term, sid). *)
+let prop_cursor_walk_matches_singletons =
+  QCheck.Test.make ~name:"cursor walk equals merged singleton cursors" ~count:200
+    walk_case (fun (rpl, t, picks) ->
+      let index, terms, sids = Lazy.force walk_fixture in
+      let kind = if rpl then Rpl.Rpl else Rpl.Erpl and term = terms.(t) in
+      let subset = walk_sids sids picks in
+      let expected =
+        List.fold_left
+          (fun acc sid ->
+            match (acc, open_drained index kind ~term ~sids:[ sid ]) with
+            | Error _, _ -> acc
+            | Ok _, Error e -> Error e
+            | Ok l, Ok entries -> Ok (entries @ l))
+          (Ok []) (List.sort_uniq compare subset)
+        |> Result.map (List.sort (kind_order kind))
+      in
+      open_drained index kind ~term ~sids:subset = expected)
+
+let prop_materialized_counts =
+  QCheck.Test.make ~name:"materialized sums entries iff every pair exists"
+    ~count:200
+    QCheck.(pair walk_case (int_bound 7))
+    (fun ((rpl, _, picks), term_mask) ->
+      let index, terms, sids = Lazy.force walk_fixture in
+      let kind = if rpl then Rpl.Rpl else Rpl.Erpl in
+      let terms =
+        List.filteri (fun i _ -> term_mask land (1 lsl i) <> 0) (Array.to_list terms)
+      in
+      let sids = walk_sids sids picks in
+      let pairs =
+        List.concat_map
+          (fun term -> List.map (fun sid -> (term, sid)) (List.sort_uniq compare sids))
+          terms
+      in
+      let expected =
+        if List.for_all (fun (term, sid) -> Rpl.is_materialized index kind ~term ~sid) pairs
+        then
+          Some
+            (List.fold_left
+               (fun acc (term, sid) -> acc + Rpl.list_entries index kind ~term ~sid)
+               0 pairs)
+        else None
+      in
+      Rpl.materialized index kind ~sids ~terms = expected)
+
+(* The fixture must exercise both walk cases: some pair list larger
+   than a page (it straddles leaves) and many short ones (they share). *)
+let test_walk_fixture_shapes () =
+  let index, terms, sids = Lazy.force walk_fixture in
+  let bytes =
+    Array.to_list terms
+    |> List.concat_map (fun term ->
+           Array.to_list sids
+           |> List.map (fun sid -> Rpl.list_bytes index Rpl.Rpl ~term ~sid))
+  in
+  Alcotest.(check bool) "a list straddles leaves" true
+    (List.exists (fun b -> b > 4608) bytes);
+  Alcotest.(check bool) "short lists share leaves" true
+    (List.length (List.filter (fun b -> b > 0 && b < 1024) bytes) > 10)
+
+let node_reads = Trex_obs.Metrics.counter "bptree.node_reads"
+
+(* One bench shard's worth of IEEE with Table-1 query 260 materialized:
+   planning plus cursor opening must cost fewer node reads than the
+   query has (term, sid) pairs, i.e. no descent per pair. *)
+let test_served_node_read_fence () =
+  let coll = Trex_corpus.Gen.ieee ~doc_count:60 ~seed:42 () in
+  let engine = Trex.build ~env:(Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+  let q = Trex_corpus.Queries.find "260" in
+  ignore (Trex.materialize engine q.nexi);
+  let index = Trex.index engine in
+  let t =
+    Trex_nexi.Translate.translate ~summary:(Index.summary index)
+      ~normalize:(Index.normalize_term index) (Trex_nexi.Parser.parse q.nexi)
+  in
+  let sids = Trex_nexi.Translate.all_sids t and terms = Trex_nexi.Translate.all_terms t in
+  let pairs = List.length (List.sort_uniq compare sids) * List.length terms in
+  let before = Trex_obs.Metrics.value node_reads in
+  let outcome, _ = Strategy.evaluate_resilient index ~scoring ~sids ~terms ~k:10 () in
+  let reads = Trex_obs.Metrics.value node_reads - before in
+  Alcotest.(check bool) "answers" true (outcome.answers <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d node reads < %d pairs (%s)" reads pairs
+       (Strategy.method_to_string outcome.method_used))
+    true (reads < pairs)
+
 let () =
   Alcotest.run "trex_topk"
     [
@@ -906,6 +1052,13 @@ let () =
           Alcotest.test_case "drop" `Quick test_rpl_drop;
           Alcotest.test_case "empty list materialized" `Quick
             test_rpl_empty_list_materialized;
+        ] );
+      ( "walks",
+        [
+          Alcotest.test_case "fixture shapes" `Quick test_walk_fixture_shapes;
+          QCheck_alcotest.to_alcotest prop_cursor_walk_matches_singletons;
+          QCheck_alcotest.to_alcotest prop_materialized_counts;
+          Alcotest.test_case "served node-read fence" `Quick test_served_node_read_fence;
         ] );
       ( "prefix-rpl",
         [
