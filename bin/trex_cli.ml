@@ -47,11 +47,17 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-let alias_of_name = function
-  | "ieee" -> (Trex_corpus.Gen.ieee ~doc_count:1 ()).alias
-  | "wiki" -> (Trex_corpus.Gen.wikipedia ~doc_count:1 ()).alias
-  | "none" -> Trex.Alias.identity
-  | other -> failwith (Printf.sprintf "unknown alias set %S (ieee|wiki|none)" other)
+(* An unknown set is a usage error (exit 124), caught before anything
+   is created on disk. *)
+let alias_arg =
+  Arg.(value
+       & opt (enum [ ("ieee", `Ieee); ("wiki", `Wiki); ("none", `None) ]) `None
+       & info [ "alias" ] ~doc:"alias set: ieee, wiki or none")
+
+let alias_of = function
+  | `Ieee -> (Trex_corpus.Gen.ieee ~doc_count:1 ()).alias
+  | `Wiki -> (Trex_corpus.Gen.wikipedia ~doc_count:1 ()).alias
+  | `None -> Trex.Alias.identity
 
 (* ---- gen ---- *)
 
@@ -85,7 +91,6 @@ let index_cmd =
   let src =
     Arg.(required & opt (some string) None & info [ "src" ] ~doc:"directory of .xml files")
   in
-  let alias = Arg.(value & opt string "none" & info [ "alias" ] ~doc:"ieee, wiki or none") in
   let summary =
     Arg.(value & opt string "incoming"
          & info [ "summary" ] ~doc:"incoming, tag, or aK (e.g. a2) for an A(k)-index")
@@ -115,7 +120,7 @@ let index_cmd =
     let t0 = Unix.gettimeofday () in
     let engine =
       Trex.build ~env:storage ~summary_criterion:criterion
-        ~alias:(alias_of_name alias) docs
+        ~alias:(alias_of alias) docs
     in
     let stats = Trex.Index.stats (Trex.index engine) in
     Trex.Env.close storage;
@@ -124,7 +129,7 @@ let index_cmd =
       (Unix.gettimeofday () -. t0)
   in
   Cmd.v (Cmd.info "index" ~doc:"Build an index over XML files")
-    Term.(const run $ src $ env_arg $ alias $ summary)
+    Term.(const run $ src $ env_arg $ alias_arg $ summary)
 
 (* ---- query ---- *)
 
@@ -797,7 +802,6 @@ let shard_create_cmd =
   let shards =
     Arg.(value & opt int 2 & info [ "shards" ] ~doc:"number of shards")
   in
-  let alias = Arg.(value & opt string "none" & info [ "alias" ] ~doc:"ieee, wiki or none") in
   let run src dir shards alias =
     let files =
       Sys.readdir src |> Array.to_list
@@ -807,7 +811,7 @@ let shard_create_cmd =
     if files = [] then failwith ("no .xml files in " ^ src);
     let docs = List.map (fun f -> (f, read_file (Filename.concat src f))) files in
     let t0 = Unix.gettimeofday () in
-    let t = Shard.create ~dir ~shards ~alias:(alias_of_name alias) docs in
+    let t = Shard.create ~dir ~shards ~alias:(alias_of alias) docs in
     List.iter
       (fun (i : Shard.shard_info) ->
         Printf.printf "%s: docids %d..%d (%d documents)\n" i.name i.base
@@ -819,7 +823,7 @@ let shard_create_cmd =
       (Unix.gettimeofday () -. t0)
   in
   Cmd.v (Cmd.info "create" ~doc:"Partition a collection into shard indexes")
-    Term.(const run $ src $ shard_dir_arg $ shards $ alias)
+    Term.(const run $ src $ shard_dir_arg $ shards $ alias_arg)
 
 let shard_query_cmd =
   let nexi = Arg.(required & pos 0 (some string) None & info [] ~docv:"NEXI") in

@@ -16,8 +16,10 @@ exception Protocol_error of string
    telemetry. Version 3 adds the client-facing serving messages
    (Client_query / Client_answer / Shed / Drain) and remote worker
    endpoints; the same Hello equality check covers servers and remote
-   workers, so a mid-upgrade mixed fleet still fails loud. *)
-let version = 3
+   workers, so a mid-upgrade mixed fleet still fails loud. Version 4
+   moves answer entries out of the JSON envelope into a binary section
+   (see [with_answers]). *)
+let version = 4
 
 type query = {
   q_nexi : string;
@@ -128,30 +130,59 @@ let scoring_of_json = function
       | None -> fail "scoring: unknown config")
   | _ -> fail "scoring: unknown config"
 
-(* ---- answers ---- *)
+(* ---- answers: the binary section (layout in wire.mli) ----
 
-let entry_to_json (e : Answer.entry) =
-  let el = e.Answer.element in
-  Json.Obj
-    [
-      ("sid", Json.Int el.Types.sid);
-      ("docid", Json.Int el.Types.docid);
-      ("endpos", Json.Int el.Types.endpos);
-      ("length", Json.Int el.Types.length);
-      ("score", Json.Float e.Answer.score);
-    ]
+   The JSON printer escapes every control byte, so the first NUL of a
+   payload always ends its envelope. *)
 
-let entry_of_json j =
-  {
-    Answer.element =
-      {
-        Types.sid = get_int "sid" j;
-        docid = get_int "docid" j;
-        endpos = get_int "endpos" j;
-        length = get_int "length" j;
-      };
-    score = get_float "score" j;
-  }
+module Buf = Trex_util.Codec.Buf
+module Reader = Trex_util.Codec.Reader
+
+(* Four one-byte varints and the 8-byte score. *)
+let min_record_bytes = 12
+
+let with_answers envelope (answers : Answer.t) =
+  let n = List.length answers in
+  let b = Buf.create ~capacity:(String.length envelope + 8 + (16 * n)) () in
+  Buf.add_raw b envelope;
+  Buf.add_raw b "\000";
+  Buf.add_uvarint b n;
+  List.iter
+    (fun { Answer.element = el; score } ->
+      Buf.add_varint b el.Types.sid;
+      Buf.add_varint b el.Types.docid;
+      Buf.add_varint b el.Types.endpos;
+      Buf.add_varint b el.Types.length;
+      Buf.add_float b score)
+    answers;
+  Buf.contents b
+
+let decode_answers ~expected section =
+  let r = Reader.of_string section in
+  try
+    let n = Reader.uvarint r in
+    let left = String.length section - Reader.pos r in
+    if n < 0 || n > left / min_record_bytes then
+      fail "answer section: count %d does not fit in %d bytes" n left;
+    if n <> expected then
+      fail "answer section holds %d entries, envelope says %d" n expected;
+    let rec go acc i =
+      if i = 0 then List.rev acc
+      else
+        let sid = Reader.varint r in
+        let docid = Reader.varint r in
+        let endpos = Reader.varint r in
+        let length = Reader.varint r in
+        let score = Reader.float r in
+        go ({ Answer.element = { Types.sid; docid; endpos; length }; score } :: acc) (i - 1)
+    in
+    let entries = go [] n in
+    if not (Reader.at_end r) then
+      fail "answer section: %d trailing bytes" (String.length section - Reader.pos r);
+    entries
+  with
+  | Reader.Truncated -> fail "answer section truncated"
+  | Reader.Malformed m -> fail "answer section: %s" m
 
 (* ---- requests ---- *)
 
@@ -280,7 +311,7 @@ let encode_response r =
     | Client_answer ca ->
         Json.Obj
           (("client_answer", Json.Bool true)
-          :: ("answers", Json.List (List.map entry_to_json ca.ca_answers))
+          :: ("answers", Json.Int (List.length ca.ca_answers))
           :: ("k", Json.Int ca.ca_k)
           :: ("degraded", Json.Bool ca.ca_degraded)
           :: ( "tags",
@@ -296,7 +327,7 @@ let encode_response r =
           :: ("entries_read", Json.Int a.a_entries_read)
           :: ("elapsed_s", Json.Float a.a_elapsed_s)
           :: ("pages_used", Json.Int a.a_pages_used)
-          :: ("answers", Json.List (List.map entry_to_json a.a_answers))
+          :: ("answers", Json.Int (List.length a.a_answers))
           :: ("spans", Span.to_json a.a_spans)
           :: ( "counters",
                Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters)
@@ -306,7 +337,10 @@ let encode_response r =
                 a.a_method
              @ opt_field "journal" Journal.record_to_json a.a_journal))
   in
-  Json.to_string j
+  match r with
+  | Answer { a_answers = answers; _ } | Client_answer { ca_answers = answers; _ } ->
+      with_answers (Json.to_string j) answers
+  | Hello _ | Pong _ | Shed _ | Drain -> Json.to_string j
 
 let decode_tags j =
   match Json.member "tags" j with
@@ -319,7 +353,20 @@ let decode_tags j =
   | _ -> fail "tags"
 
 let decode_response s =
-  let j = try Json.parse s with Json.Parse_error e -> fail "bad response JSON: %s" e in
+  let envelope, section =
+    match String.index_opt s '\000' with
+    | None -> (s, None)
+    | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+  in
+  let j =
+    try Json.parse envelope with Json.Parse_error e -> fail "bad response JSON: %s" e
+  in
+  let answers n =
+    match section with
+    | Some sec -> decode_answers ~expected:n sec
+    | None -> fail "answers: missing binary section"
+  in
+  let r =
   match Json.member "shed" j with
   | Some v ->
       let retry_after_ms =
@@ -340,14 +387,9 @@ let decode_response s =
   | None -> (
   match Json.member "client_answer" j with
   | Some _ ->
-      let entries =
-        match Json.member "answers" j with
-        | Some (Json.List l) -> List.map entry_of_json l
-        | _ -> fail "client_answer: missing answers"
-      in
       Client_answer
         {
-          ca_answers = entries;
+          ca_answers = answers (get_int "answers" j);
           ca_k = get_int "k" j;
           ca_degraded = get_bool "degraded" j;
           ca_tags = decode_tags j;
@@ -377,7 +419,7 @@ let decode_response s =
         { h_shard = shard; h_pid = get_int "pid" j; h_docs = get_int "docs" j;
           h_wire }
   | _, Some (Json.Int seq), _ -> Pong seq
-  | _, _, Some (Json.List entries) ->
+  | _, _, Some (Json.Int n) ->
       Answer
         {
           a_degraded = get_bool "degraded" j;
@@ -388,7 +430,7 @@ let decode_response s =
           a_entries_read = get_int "entries_read" j;
           a_elapsed_s = get_float "elapsed_s" j;
           a_pages_used = get_int "pages_used" j;
-          a_answers = List.map entry_of_json entries;
+          a_answers = answers n;
           (* Telemetry decode is lenient: versioning is enforced at the
              Hello handshake, and a missing payload degrades to "no
              telemetry", never to a poisoned merge. *)
@@ -407,3 +449,7 @@ let decode_response s =
           a_journal = Option.bind (opt_member "journal" j) Journal.record_of_json;
         }
   | _ -> fail "unrecognized response")))
+  in
+  match (r, section) with
+  | (Hello _ | Pong _ | Shed _ | Drain), Some _ -> fail "unexpected binary section"
+  | _ -> r

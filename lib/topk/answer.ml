@@ -13,7 +13,18 @@ let of_unsorted items =
   |> List.map (fun (element, score) -> { element; score })
   |> List.sort compare_entry
 
-let merge lists = List.sort compare_entry (List.concat lists)
+(* Stable: of two equal entries the one from the earlier list comes
+   first, exactly as [List.sort] over the concatenation would order them. *)
+let merge2 a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+        if compare_entry x y <= 0 then go (x :: acc) a' b else go (y :: acc) a b'
+  in
+  go [] a b
+
+let merge lists = List.fold_left merge2 [] lists
 
 let rec top_k t k =
   if k <= 0 then []

@@ -10,7 +10,9 @@ val of_unsorted : (Trex_invindex.Types.element * float) list -> t
 
 val merge : t list -> t
 (** Merge already-sorted answer lists into one ranking (descending
-    score, document-order tie-break) — the scatter-gather combine. *)
+    score, document-order tie-break) — the scatter-gather combine.
+    Linear for two lists (no re-sort), and equal to [of_unsorted] over
+    the concatenation, entry for entry. *)
 
 val top_k : t -> int -> t
 val size : t -> int

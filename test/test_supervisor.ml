@@ -28,6 +28,7 @@ module Wire = Trex_shard.Wire
 module Strategy = Trex_topk.Strategy
 module Answer = Trex_topk.Answer
 module Types = Trex_invindex.Types
+module Codec = Trex_util.Codec
 
 let check = Alcotest.check
 let metric name = Metrics.value (Metrics.counter name)
@@ -256,6 +257,9 @@ let test_wire_version_mismatch () =
   in
   expect_mismatch {|{"hello":"shard-001","pid":42,"docs":7}|};
   expect_mismatch {|{"hello":"shard-001","pid":42,"docs":7,"wire":1}|};
+  (* v3 shipped answers as JSON lists; a v4 peer must refuse it at
+     Hello rather than misread its answers. *)
+  expect_mismatch {|{"hello":"shard-001","pid":42,"docs":7,"wire":3}|};
   match
     Wire.decode_response
       (Printf.sprintf {|{"hello":"shard-001","pid":42,"docs":7,"wire":%d}|}
@@ -325,6 +329,181 @@ let test_wire_client_roundtrip () =
   match Wire.decode_response (Wire.encode_response Wire.Drain) with
   | Wire.Drain -> ()
   | _ -> Alcotest.fail "drain did not roundtrip"
+
+(* ---- v4 binary answer section ---- *)
+
+let wire_answer answers =
+  Wire.Answer
+    {
+      Wire.a_degraded = false;
+      a_method = Some Strategy.Ta_method;
+      a_entries_read = 3;
+      a_elapsed_s = 0.001;
+      a_pages_used = 2;
+      a_answers = answers;
+      a_spans = [];
+      a_counters = [ ("pager.physical_reads", 2) ];
+      a_journal = None;
+    }
+
+let wire_client_answer answers =
+  Wire.Client_answer
+    {
+      Wire.ca_answers = answers;
+      ca_k = 10;
+      ca_degraded = false;
+      ca_tags = [];
+      ca_method = Some "ta";
+      ca_elapsed_s = 0.002;
+    }
+
+(* Ints at the edges of the zig-zag varint range, and scores at the
+   edges of IEEE-754: -0.0, subnormals, and infinities and NaN
+   payloads, which have no JSON form at all. *)
+let edge_int =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; -1; 1; max_int; max_int - 1; min_int; min_int + 1 ];
+        int;
+        small_signed_int;
+      ])
+
+let edge_score =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; infinity;
+            neg_infinity; nan; Int64.float_of_bits 0x7ff8_0000_dead_beefL; max_float;
+          ];
+        map Int64.float_of_bits ui64;
+        float;
+      ])
+
+let wire_entry_gen =
+  QCheck.Gen.(
+    map
+      (fun ((sid, docid), (endpos, length), score) ->
+        { Answer.element = { Types.sid; docid; endpos; length }; score })
+      (triple (pair edge_int edge_int) (pair edge_int edge_int) edge_score))
+
+let bit_identical a b =
+  List.compare_lengths a b = 0
+  && List.for_all2
+       (fun (x : Answer.entry) (y : Answer.entry) ->
+         x.element = y.element
+         && Int64.equal (Int64.bits_of_float x.score) (Int64.bits_of_float y.score))
+       a b
+
+let prop_wire_answers_roundtrip =
+  QCheck.Test.make ~name:"answer section round-trips bit-identical" ~count:300
+    QCheck.(make Gen.(pair bool (list_size (oneofl [ 0; 1; 2; 17; 200 ]) wire_entry_gen)))
+    (fun (client, entries) ->
+      if client then
+        match Wire.decode_response (Wire.encode_response (wire_client_answer entries)) with
+        | Wire.Client_answer c -> bit_identical entries c.Wire.ca_answers
+        | _ -> false
+      else
+        match Wire.decode_response (Wire.encode_response (wire_answer entries)) with
+        | Wire.Answer a -> bit_identical entries a.Wire.a_answers
+        | _ -> false)
+
+let rec index_of ?(from = 0) needle s =
+  let n = String.length needle in
+  if from + n > String.length s then None
+  else if String.sub s from n = needle then Some from
+  else index_of ~from:(from + 1) needle s
+
+(* Every malformed section is connection-fatal: [Protocol_error] and
+   no other exception, never a silently short or padded answer. *)
+let test_wire_malformed_sections () =
+  let entry i =
+    {
+      Answer.element = { Types.sid = i; docid = 1000 * i; endpos = -i; length = 300 };
+      score = 1.0 /. float_of_int (i + 1);
+    }
+  in
+  let expect_error ?(says = "") what payload =
+    match Wire.decode_response payload with
+    | exception Wire.Protocol_error e ->
+        if index_of says e = None then
+          Alcotest.failf "%s: error %S does not say %S" what e says
+    | _ -> Alcotest.failf "%s was accepted" what
+  in
+  List.iter
+    (fun msg ->
+      let payload = Wire.encode_response (msg [ entry 1; entry 2; entry 3 ]) in
+      let nul = String.index payload '\000' in
+      let envelope = String.sub payload 0 nul in
+      let section = String.sub payload (nul + 1) (String.length payload - nul - 1) in
+      for len = 0 to String.length section - 1 do
+        expect_error
+          (Printf.sprintf "a %d-byte prefix of the section" len)
+          (envelope ^ "\000" ^ String.sub section 0 len)
+      done;
+      expect_error "a trailing byte" (payload ^ "\000");
+      expect_error "a missing NUL and section" envelope;
+      let recount n =
+        let needle = {|"answers":3|} in
+        let i = Option.get (index_of needle envelope) in
+        String.sub envelope 0 i
+        ^ Printf.sprintf {|"answers":%d|} n
+        ^ String.sub envelope (i + String.length needle)
+            (String.length envelope - i - String.length needle)
+      in
+      expect_error "an envelope count below the section's"
+        (recount 2 ^ "\000" ^ section);
+      expect_error "an envelope count above the section's"
+        (recount 4 ^ "\000" ^ section);
+      (* A count the section cannot hold must be refused before any
+         allocation, even when the envelope agrees with it. *)
+      let huge = 1 lsl 40 in
+      let b = Codec.Buf.create () in
+      Codec.Buf.add_uvarint b huge;
+      (* the section's own count, 3, is its first byte *)
+      Codec.Buf.add_raw b (String.sub section 1 (String.length section - 1));
+      expect_error ~says:"does not fit" "an oversized count"
+        (recount huge ^ "\000" ^ Codec.Buf.contents b))
+    [ wire_answer; wire_client_answer ];
+  (* The small responses carry no section. *)
+  expect_error "a section after a pong"
+    (Wire.encode_response (Wire.Pong 3) ^ "\000\000")
+
+(* The binary section is what makes large-k serving cheap: a
+   1000-entry worker answer with a realistic counter delta must stay
+   under 24 bytes per entry (the v3 JSON form took about 80). *)
+let test_wire_answer_size_fence () =
+  let entries =
+    List.init 1000 (fun i ->
+        {
+          Answer.element =
+            { Types.sid = i mod 7; docid = 3 * i; endpos = 1000 + (37 * i);
+              length = 5 + (i mod 200) };
+          score = 10.0 /. float_of_int (i + 1);
+        })
+  in
+  let payload =
+    Wire.encode_response
+      (Wire.Answer
+         {
+           Wire.a_degraded = false;
+           a_method = Some Strategy.Merge_method;
+           a_entries_read = 4000;
+           a_elapsed_s = 0.0021;
+           a_pages_used = 12;
+           a_answers = entries;
+           a_spans = [];
+           a_counters =
+             List.init 40 (fun i -> (Printf.sprintf "layer.counter_%02d" i, 1000 * i));
+           a_journal = None;
+         })
+  in
+  let per_entry = float_of_int (String.length payload) /. 1000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f bytes per entry < 24" per_entry)
+    true (per_entry < 24.0)
 
 (* ---- healthy path: rank identity through worker processes ---- *)
 
@@ -1066,6 +1245,10 @@ let () =
             test_wire_version_mismatch;
           Alcotest.test_case "client message roundtrips" `Quick
             test_wire_client_roundtrip;
+          QCheck_alcotest.to_alcotest prop_wire_answers_roundtrip;
+          Alcotest.test_case "malformed answer sections are protocol errors"
+            `Quick test_wire_malformed_sections;
+          Alcotest.test_case "answer size fence" `Quick test_wire_answer_size_fence;
         ] );
       ( "identity",
         [

@@ -1005,6 +1005,37 @@ let test_served_node_read_fence () =
        (Strategy.method_to_string outcome.method_used))
     true (reads < pairs)
 
+(* ---- Answer.merge ---- *)
+
+(* Entries drawn from small ranges so that scores tie within and across
+   lists and whole entries repeat; 0.0 and -0.0 compare equal but
+   differ in bits, so the check also sees that ties keep list order. *)
+let entry_gen =
+  QCheck.Gen.(
+    map
+      (fun (((sid, docid), (endpos, length)), s) ->
+        ( { Types.sid; docid; endpos; length },
+          [| 0.5; 1.25; -0.0; 0.0; 3.0 |].(s) ))
+      (pair
+         (pair (pair (int_bound 2) (int_bound 5)) (pair (int_bound 9) (int_bound 3)))
+         (int_bound 4)))
+
+let same_entries a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Answer.entry) (y : Answer.entry) ->
+         x.element = y.element
+         && Int64.equal (Int64.bits_of_float x.score) (Int64.bits_of_float y.score))
+       a b
+
+let prop_merge_equals_sort =
+  QCheck.Test.make ~name:"merge of sorted lists equals sorting the concatenation"
+    ~count:500
+    QCheck.(make Gen.(list_size (int_bound 5) (list_size (int_bound 30) entry_gen)))
+    (fun raw ->
+      let lists = List.map Answer.of_unsorted raw in
+      same_entries (Answer.merge lists) (Answer.of_unsorted (List.concat raw)))
+
 let () =
   Alcotest.run "trex_topk"
     [
@@ -1025,6 +1056,7 @@ let () =
       ( "agreement",
         [
           Alcotest.test_case "merge equals era" `Quick test_merge_equals_era;
+          QCheck_alcotest.to_alcotest prop_merge_equals_sort;
           Alcotest.test_case "ta matches era across k" `Quick
             test_ta_matches_era_at_many_k;
           Alcotest.test_case "ita equals ta" `Quick test_ita_same_answers_as_ta;
